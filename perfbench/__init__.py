@@ -1,0 +1,5 @@
+"""Repository benchmark: four AdaFGL workloads, end-to-end and per-layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
