@@ -8,10 +8,23 @@ Two sections:
   retransmits) the framed channel accumulates;
 * **wan_codec_sweep** — a grid of simulated WAN presets (LAN, WAN,
   slow/thin, lossy) × upload delta codecs (``bitdelta``/``topk``/``qtopk``)
-  over the TCP transport, reporting wall-clock rounds/sec, the codec's
-  communicated float volume and the wire counters, so the plot "fewer codec
-  bytes → more rounds/sec as the link thins" falls straight out of
-  ``BENCH_transport.json``.
+  over the TCP transport, reporting the steady per-round link cost, the
+  codec's communicated float volume and the wire counters, so the plot
+  "fewer codec bytes → more rounds/sec as the link thins" falls straight
+  out of ``BENCH_transport.json``.
+
+Every run is timed in three phases, so pool start-up and shutdown never
+blur the per-round figure:
+
+* ``startup_s`` — what the first round costs beyond a steady one: worker
+  spawn, client adoption and the first dispatch;
+* ``round_s`` — the median wall time of rounds 2..R (``rounds_per_sec`` is
+  its inverse);
+* ``close_s`` — ``trainer.close()``: the close-time worker-state sync (one
+  ``fetch_all`` round trip per worker, so it grows with link latency) and
+  the pool shutdown (stop handshake, channel drain, joins).
+
+``wall_sec`` is the whole run, start-up to closed pool.
 
 Usage::
 
@@ -53,6 +66,9 @@ WAN_PRESETS = [
                "bandwidth_mbps": 50.0, "loss": 0.05, "seed": 7}),
 ]
 
+#: per-cell timing keys, in report order
+PHASES = ("startup_s", "round_s", "close_s", "wall_sec", "rounds_per_sec")
+
 #: upload codecs, lossless first (the parity reference)
 CODECS = [
     dict(delta_codec="bitdelta"),
@@ -68,27 +84,54 @@ KNOBS = dict(heartbeat_interval=0.25, heartbeat_timeout=10.0,
 def _train(clients, *, rounds: int, transport: str,
            transport_options: Optional[Dict] = None, seed: int = 0,
            **codec) -> Dict:
-    """One sync process-pool training; returns history + timing + wire."""
+    """One sync process-pool training; returns history, phases and wire."""
+    if rounds < 2:
+        raise ValueError("a steady round needs rounds >= 2")
     config = FederatedConfig(rounds=rounds, local_epochs=2, lr=0.02,
                              seed=seed, backend="process_pool",
                              num_workers=2, intra_worker="serial",
                              transport=transport,
                              transport_options=transport_options, **codec)
     trainer = build_baseline("fedgcn", clients, config=config, hidden=32)
-    start = time.perf_counter()
+    trainer.close_backend_after_run = False   # close() is timed on its own
+    # Every round loop records its participants once as the round begins.
+    starts: List[float] = []
+    record = trainer.history.record_participants
+
+    def stamped(round_index, ids):
+        starts.append(time.perf_counter())
+        return record(round_index, ids)
+
+    trainer.history.record_participants = stamped
+    begin = time.perf_counter()
     history = trainer.run()
-    wall = time.perf_counter() - start
+    finished = time.perf_counter()
     stats = trainer.backend.last_pipeline_stats
+    # the pool-IPC accounting (codec-aware parameter_delta volume), not the
+    # backend-invariant logical tracker
+    comm_floats = trainer.backend.transport.summary()
+    trainer.close()
+    closed = time.perf_counter()
+    ends = starts[1:] + [finished]
+    round_s = float(np.median([end - start for start, end
+                               in zip(starts[1:], ends[1:])]))
     return {
         "history": history,
-        "wall_sec": wall,
-        "rounds_per_sec": rounds / wall,
-        # the pool-IPC accounting (codec-aware parameter_delta volume), not
-        # the backend-invariant logical tracker
-        "comm_floats": trainer.backend.transport.summary(),
+        "startup_s": ends[0] - begin - round_s,
+        "round_s": round_s,
+        "close_s": closed - finished,
+        "wall_sec": closed - begin,
+        "rounds_per_sec": 1.0 / round_s,
+        "comm_floats": comm_floats,
         "wire": stats.get("transport", {}),
         "accuracy": history.test_accuracy[-1],
     }
+
+
+def _phases(result: Dict) -> str:
+    return (f"start-up {result['startup_s']:.2f}s  "
+            f"round {1000 * result['round_s']:.1f}ms  "
+            f"close {result['close_s']:.3f}s")
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -106,14 +149,12 @@ def run_parity_section(clients, *, rounds: int, seed: int = 0) -> Dict:
     equal = _bitwise_equal(pipe["history"], tcp["history"])
     section = {
         "bitwise_equal": equal,
-        "pipe": {"wall_sec": pipe["wall_sec"],
-                 "rounds_per_sec": pipe["rounds_per_sec"]},
-        "tcp": {"wall_sec": tcp["wall_sec"],
-                "rounds_per_sec": tcp["rounds_per_sec"],
-                "wire": tcp["wire"]},
+        "pipe": {key: pipe[key] for key in PHASES},
+        "tcp": {**{key: tcp[key] for key in PHASES}, "wire": tcp["wire"]},
     }
-    print(f"  parity: bitwise={equal}  pipe {pipe['wall_sec']:.2f}s  "
-          f"tcp {tcp['wall_sec']:.2f}s  "
+    print(f"  parity: bitwise={equal}")
+    print(f"    pipe  {_phases(pipe)}")
+    print(f"    tcp   {_phases(tcp)}  "
           f"({tcp['wire'].get('bytes_sent', 0)} bytes down, "
           f"{tcp['wire'].get('retransmits', 0)} retransmits)")
     return section
@@ -137,8 +178,7 @@ def run_wan_codec_sweep(clients, *, rounds: int, presets, codecs,
                 "link": preset_name,
                 "wan": wan,
                 "codec": codec["delta_codec"],
-                "wall_sec": result["wall_sec"],
-                "rounds_per_sec": result["rounds_per_sec"],
+                **{key: result[key] for key in PHASES},
                 "uploaded_floats": result["comm_floats"]["uploaded"],
                 "downloaded_floats": result["comm_floats"]["downloaded"],
                 "accuracy": result["accuracy"],
@@ -150,7 +190,7 @@ def run_wan_codec_sweep(clients, *, rounds: int, presets, codecs,
             }
             points.append(point)
             print(f"  link={preset_name:8s} codec={point['codec']:8s} "
-                  f"{point['rounds_per_sec']:6.2f} rounds/s  "
+                  f"{_phases(result)}  "
                   f"up {point['uploaded_floats']:.0f} floats  "
                   f"retx {result['wire'].get('retransmits', 0)}  "
                   f"dropped {result['wire'].get('wan_dropped', 0)}")
@@ -165,7 +205,7 @@ def run_transport_suite(*, smoke: bool = False,
         presets = [WAN_PRESETS[0], WAN_PRESETS[2]]      # loopback + wan
         codecs = [CODECS[0], CODECS[2]]                 # bitdelta + qtopk
     else:
-        num_nodes, num_clients, rounds = 400, 4, 5
+        num_nodes, num_clients, rounds = 400, 4, 10
         presets = WAN_PRESETS
         codecs = CODECS
 

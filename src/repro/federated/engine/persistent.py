@@ -806,26 +806,25 @@ class PersistentWorkerPool:
         channel instead *waits* (within the connect budget) for an operator
         to launch a replacement ``repro.cli worker``.
         """
-        try:
-            self._channels[worker].close()
-        except OSError:
-            pass
-        old = self._procs[worker]
-        if old is not None:
-            if old.is_alive():
-                old.terminate()
-            old.join(timeout=5.0)
+        self._stop_failed(worker)
         channel, process = self.transport.spawn(worker)
         self._channels[worker] = channel
         self._procs[worker] = process
-        self._inflight[worker] = 0
-        self._commands[worker].clear()
-        self._buffered[worker].clear()
         self._dead.discard(worker)
 
     def mark_dead(self, worker: int) -> None:
         """Retire a worker slot (redistribute policy): close, don't replace."""
         self._dead.add(worker)
+        self._stop_failed(worker)
+
+    def _stop_failed(self, worker: int) -> None:
+        """Close a failed worker's channel, end its process, forget replies.
+
+        The worker already counts as dead, so there is no ``stop``
+        handshake: a TCP channel whose link is down closes at once (it never
+        waits for a re-attach) and ``terminate`` ends a live process.  The
+        join bound only runs out on a process that ignores SIGTERM.
+        """
         try:
             self._channels[worker].close()
         except OSError:
@@ -938,8 +937,10 @@ class PersistentWorkerPool:
         # still blocked writing a large unread reply (e.g. after a mid-round
         # abort) gets a broken channel and exits immediately instead of
         # burning the join timeout; idle workers see EOF at their next recv.
-        # (TCP channels additionally drain briefly so the stop command is
-        # actually transmitted before the link is torn down.)
+        # (A TCP channel first waits for the worker to acknowledge "stop",
+        # so the worker takes the clean stop path; the worker's own close
+        # ends as soon as its reply is acked or this side hangs up.)  The
+        # join and terminate below only run out on a wedged worker.
         for channel in channels:
             try:
                 channel.close()

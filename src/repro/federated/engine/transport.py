@@ -51,6 +51,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import random
+import selectors
 import socket
 import struct
 import threading
@@ -270,6 +271,7 @@ class _TcpChannel:
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)      # writer wake-ups
         self._readable = threading.Condition(self._lock)  # recv/poll waiters
+        self._drained = threading.Condition(self._lock)   # close() waiters
         self._wmutex = threading.Lock()  # serialises socket writes only
         self._sock: Optional[socket.socket] = None
         self._session_gen = 0
@@ -297,6 +299,7 @@ class _TcpChannel:
             "frames_sent": 0, "bytes_sent": 0, "frames_received": 0,
             "retransmits": 0, "crc_failures": 0, "reconnects": 0,
             "wan_dropped": 0, "injected_faults": 0}
+        self._readers: List[threading.Thread] = []
         self._writer = threading.Thread(target=self._writer_loop,
                                         daemon=True,
                                         name=f"tcp-writer-{worker}")
@@ -339,17 +342,31 @@ class _TcpChannel:
                 self._readable.wait(remaining)
 
     def close(self) -> None:
-        # Give in-flight frames (notably the pool's "stop" command) a short
-        # grace period to be transmitted and acknowledged before tearing the
-        # link down, so workers exit via the clean stop path instead of
-        # burning their reconnect budget against a vanished coordinator.
+        # Let in-flight frames (the pool's "stop" command, the worker's
+        # reply to it) be acknowledged before tearing the link down, so
+        # workers exit via the clean stop path instead of burning their
+        # reconnect budget against a vanished coordinator.  Acks wake the
+        # wait (``_apply_ack`` notifies).  A closing channel never waits for
+        # a *re*-attach: once a link that was up goes down, nothing is left
+        # to wait for.  The 0.5 s bound only runs out on a wedged peer or a
+        # channel that never attached at all.
         deadline = time.monotonic() + 0.5
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._dead or not self._outbox:
+        with self._drained:
+            while not self._dead and self._outbox and (
+                    self._sock is not None or self._session_gen == 0):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     break
-            time.sleep(0.01)
+                self._drained.wait(remaining)
         self._die("closed")
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Wait for the writer and reader threads of a dead channel."""
+        with self._lock:
+            threads = [self._writer] + self._readers
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(timeout)
 
     # -- fault injection (coordinator side) ----------------------------
     def inject(self, kind: str, duration: float = 0.0) -> None:
@@ -416,6 +433,8 @@ class _TcpChannel:
                 target=self._reader_loop, args=(sock, gen), daemon=True,
                 name=f"tcp-reader-{self.worker}")
             reader.start()
+            self._readers = [thread for thread in self._readers
+                             if thread.is_alive()] + [reader]
             self._work.notify_all()
 
     def _close_socket(self) -> None:
@@ -441,6 +460,7 @@ class _TcpChannel:
             self._attach_deadline = time.monotonic() \
                 + self.knobs.reconnect_window
             self._work.notify_all()
+            self._drained.notify_all()
 
     def _die(self, reason: str) -> None:
         with self._work:
@@ -451,6 +471,7 @@ class _TcpChannel:
             self._close_socket()
             self._work.notify_all()
             self._readable.notify_all()
+            self._drained.notify_all()
         if self._transport is not None:
             self._transport._notify()
 
@@ -509,6 +530,7 @@ class _TcpChannel:
             self._last_progress = time.monotonic()
             while self._unsent and self._unsent[0] <= ack:
                 self._unsent.popleft()
+            self._drained.notify_all()
 
     def _queue_retransmit(self) -> None:
         queued = set(self._unsent)
@@ -587,10 +609,20 @@ class _TcpChannel:
                 if not self._dial_once():
                     delay = min(knobs.backoff_max,
                                 knobs.backoff_base * (2 ** backoff_attempt))
-                    time.sleep(delay + random.uniform(0.0, delay))
+                    self._pause(delay + random.uniform(0.0, delay))
                     backoff_attempt += 1
                 continue
             self._pump_once()
+
+    def _pause(self, seconds: float) -> None:
+        """Sleep the writer up to ``seconds``; a dying channel cuts it short."""
+        deadline = time.monotonic() + seconds
+        with self._work:
+            while not self._dead:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._work.wait(remaining)
 
     def _pump_once(self) -> None:
         """Send at most one data frame (or a heartbeat) outside the lock."""
@@ -636,7 +668,7 @@ class _TcpChannel:
                 self._last_data_write = time.monotonic()
             return
         if delay > 0.0:
-            time.sleep(delay)
+            self._pause(delay)
         seq, frame = to_send
         with self._lock:
             sock = self._sock
@@ -813,8 +845,13 @@ class TcpTransport(WorkerTransport):
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(64)
+        self._listener.setblocking(False)
         self.address = (advertise_host or host or "127.0.0.1",
                         self._listener.getsockname()[1])
+        # close() wakes the acceptor through this pair: closing a listener
+        # does not interrupt a thread blocked on it on every platform.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._handshake: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._wait_cv = threading.Condition(self._lock)
         self._wait_version = 0
@@ -863,42 +900,64 @@ class TcpTransport(WorkerTransport):
         return channel, process
 
     def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            try:
-                sock.settimeout(5.0)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                ftype, _seq, _ack, payload = read_frame(sock)
-                if ftype != F_HELLO:
-                    raise OSError("expected HELLO")
-                hello = pickle.loads(payload)
-                worker = int(hello["worker"])
-                with self._lock:
-                    channel = self._channels.get(worker)
-                    expected = self._sessions.get(worker)
-                if channel is None or not channel.accepts_attach():
-                    raise OSError(f"no open channel for worker {worker}")
-                if hello.get("token", "") != self.token:
-                    raise OSError(f"bad token from worker {worker}")
-                if expected is not None \
-                        and hello.get("session") != expected:
-                    # A stale dialer from before a respawn: refuse it so it
-                    # cannot hijack the replacement channel.
-                    raise OSError(f"stale session from worker {worker}")
-                reply = {"ack": channel._recv_seq}
-                sock.sendall(pack_frame(
-                    F_HELLO, 0, channel._recv_seq,
-                    pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)))
-                channel.attach(sock, int(hello.get("ack", 0)))
-            except (OSError, EOFError, FrameCorruption, StreamDesync,
-                    pickle.UnpicklingError, KeyError, ValueError):
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake_recv, selectors.EVENT_READ)
+            while True:
+                ready = {key.fileobj for key, _ in selector.select()}
+                if self._wake_recv in ready:
+                    return  # transport closed
                 try:
-                    sock.close()
+                    sock, _peer = self._listener.accept()
+                except (BlockingIOError, ConnectionAbortedError):
+                    continue  # the dialer gave up before we got to it
                 except OSError:
-                    pass
+                    return
+                with self._lock:
+                    if self._closed:
+                        sock.close()
+                        return
+                    # close() shuts this socket down to end a stalled HELLO
+                    self._handshake = sock
+                try:
+                    self._handshake_one(sock)
+                finally:
+                    with self._lock:
+                        self._handshake = None
+
+    def _handshake_one(self, sock: socket.socket) -> None:
+        """Read a dialer's HELLO and hand the socket to its channel."""
+        try:
+            sock.settimeout(5.0)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            ftype, _seq, _ack, payload = read_frame(sock)
+            if ftype != F_HELLO:
+                raise OSError("expected HELLO")
+            hello = pickle.loads(payload)
+            worker = int(hello["worker"])
+            with self._lock:
+                channel = self._channels.get(worker)
+                expected = self._sessions.get(worker)
+            if channel is None or not channel.accepts_attach():
+                raise OSError(f"no open channel for worker {worker}")
+            if hello.get("token", "") != self.token:
+                raise OSError(f"bad token from worker {worker}")
+            if expected is not None \
+                    and hello.get("session") != expected:
+                # A stale dialer from before a respawn: refuse it so it
+                # cannot hijack the replacement channel.
+                raise OSError(f"stale session from worker {worker}")
+            reply = {"ack": channel._recv_seq}
+            sock.sendall(pack_frame(
+                F_HELLO, 0, channel._recv_seq,
+                pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)))
+            channel.attach(sock, int(hello.get("ack", 0)))
+        except (OSError, EOFError, FrameCorruption, StreamDesync,
+                pickle.UnpicklingError, KeyError, ValueError):
+            try:
+                sock.close()
+            except OSError:
+                pass
 
     def wait(self, channels, timeout=None):
         # Channels are polled *outside* the wait lock (poll takes each
@@ -939,13 +998,25 @@ class TcpTransport(WorkerTransport):
                 return
             self._closed = True
             channels = list(self._channels.values())
+            every_channel = list(self._all_channels)
+            handshake = self._handshake
         for channel in channels:
             channel.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        # Wake the acceptor: out of select() via the wake pair, out of a
+        # stalled HELLO read by shutting that socket down.
+        self._wake_send.close()
+        if handshake is not None:
+            try:
+                handshake.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        # Both joins return as soon as the threads exit; their bounds only
+        # matter if a thread is wedged.
         self._acceptor.join(timeout=5.0)
+        for channel in every_channel:
+            channel.join(timeout=5.0)
+        self._listener.close()
+        self._wake_recv.close()
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,13 @@
 Every model implements ``forward(x, adjacency)`` where ``x`` is a feature
 :class:`~repro.autograd.Tensor` and ``adjacency`` is the *raw* (unnormalised)
 sparse adjacency of the local subgraph; each model applies its own propagation
-operator internally and caches it keyed on the adjacency object's id, so
-repeated epochs over the same subgraph do not re-normalise.
+operator internally and caches it per adjacency object, so repeated epochs
+over the same subgraph do not re-normalise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,17 +31,23 @@ class GraphModel(Module):
 
     def __init__(self):
         super().__init__()
-        self._prop_cache: Dict[int, sp.csr_matrix] = {}
+        #: id(adjacency) → (adjacency, operator).  The entry holds its
+        #: adjacency, so that id cannot be reused while the entry lives, and
+        #: a hit checks ``is`` (a copied or unpickled entry carries ids of
+        #: objects that may be gone).
+        self._prop_cache: Dict[int, Tuple[sp.spmatrix, sp.csr_matrix]] = {}
 
     def propagation_matrix(self, adjacency: sp.spmatrix,
                            r: float = 0.5) -> sp.csr_matrix:
         key = id(adjacency)
-        if key not in self._prop_cache:
+        entry = self._prop_cache.get(key)
+        if entry is None or entry[0] is not adjacency:
             # Keep the cache tiny: one operator per adjacency object.
             if len(self._prop_cache) > 8:
                 self._prop_cache.clear()
-            self._prop_cache[key] = prepare_propagation(adjacency, r=r)
-        return self._prop_cache[key]
+            entry = (adjacency, prepare_propagation(adjacency, r=r))
+            self._prop_cache[key] = entry
+        return entry[1]
 
     def propagation_matrix_t(self, adjacency: sp.spmatrix,
                              r: float = 0.5) -> sp.csr_matrix:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autograd import Tensor, functional as F
 from repro.models import (
@@ -122,6 +123,34 @@ class TestTrainingBehaviour:
         first = model.propagation_matrix(tiny_graph.adjacency)
         second = model.propagation_matrix(tiny_graph.adjacency)
         assert first is second
+
+
+def _random_adjacency(rng, num_nodes):
+    upper = np.triu(rng.random((num_nodes, num_nodes)) < 0.3, 1)
+    return sp.csr_matrix((upper | upper.T).astype(np.float64))
+
+
+class TestOperatorCacheIdentity:
+    """The operator caches key on ``id()``.  CPython hands a freed
+    adjacency's id to the next object, so a cache that neither holds nor
+    checks its key serves another graph's operator, silently when the
+    shapes agree."""
+
+    @pytest.mark.parametrize("name", ["gcn", "gamlp"])
+    def test_fresh_adjacencies_match_a_cold_model(self, name):
+        num_nodes, num_features, num_classes = 12, 6, 3
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((num_nodes, num_features)))
+        cls = MODEL_REGISTRY[name]
+        warm = cls(num_features, 8, num_classes, seed=0)
+        warm.eval()
+        for _ in range(50):
+            adjacency = _random_adjacency(rng, num_nodes)
+            out = warm(x, adjacency).numpy()
+            cold = cls(num_features, 8, num_classes, seed=0)
+            cold.eval()
+            np.testing.assert_array_equal(out, cold(x, adjacency).numpy())
+            del adjacency
 
 
 class TestModelSpecifics:

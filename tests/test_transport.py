@@ -15,7 +15,10 @@ The tentpole bar this file enforces (see README "Transports"):
   worker and the PR 6 ``on_worker_failure`` supervision recovers bitwise;
 * heartbeat liveness detects a silent (SIGSTOP'd) worker;
 * externally launched workers (``python -m repro.cli worker``) serve the
-  same command protocol over ``mode="external"``.
+  same command protocol over ``mode="external"``;
+* a clean shutdown is event-driven: pools, idle listeners and listeners
+  with a stalled handshake all close in well under a second, every TCP
+  thread ends and every worker exits through the ``stop`` command.
 
 CI runs this file as the ``transport-smoke`` job under the per-test hang
 guard (``REPRO_TEST_TIMEOUT``), because a transport bug's natural failure
@@ -27,6 +30,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -47,10 +51,12 @@ from repro.federated.engine.transport import (
     F_DATA,
     FrameCorruption,
     StreamDesync,
+    TransportKnobs,
     WanLink,
     WanModel,
     pack_frame,
     read_frame,
+    _TcpChannel,
 )
 from repro.fgl.fedgnn import FederatedGNN
 from repro.simulation import community_split
@@ -377,3 +383,80 @@ class TestLiveness:
                     worker.kill()
                     worker.wait(timeout=10)
                     pytest.fail("external worker did not exit after stop")
+
+
+# ----------------------------------------------------------------------
+# Teardown: no fixed sleeps or join timeouts on a clean stop
+# ----------------------------------------------------------------------
+#: threads a TcpTransport and its channels own
+TCP_THREADS = ("tcp-acceptor", "tcp-reader-", "tcp-writer-")
+
+
+def _tcp_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith(TCP_THREADS)}
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_pool_shutdown_is_prompt_and_clean(self, num_workers):
+        before = _tcp_threads()
+        pool = PersistentWorkerPool(num_workers, transport=TcpTransport())
+        try:
+            for worker in range(num_workers):
+                assert pool.call(worker, "fetch_all", False) == {}
+            owned = _tcp_threads() - before
+            assert len(owned) == 1 + 2 * num_workers   # acceptor + r/w
+            processes = list(pool._procs)
+        finally:
+            start = time.perf_counter()
+            pool.shutdown()
+            elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"shutdown took {elapsed:.2f} s"
+        assert [thread.name for thread in owned if thread.is_alive()] == []
+        # exit code 0: the worker left through "stop", not terminate()
+        assert [process.exitcode for process in processes] == \
+            [0] * num_workers
+
+    def test_worker_close_ends_when_the_coordinator_hangs_up(self):
+        """The worker's reply to ``stop`` may never be acked: the
+        coordinator can hang up first.  Its close must end with the link,
+        not wait out the drain bound."""
+        transport = TcpTransport(mode="external")
+        coordinator, _process = transport.spawn(0)
+        worker = _TcpChannel(0, TransportKnobs(),
+                             dial=(transport.address, "", None))
+        try:
+            coordinator.send(("stop", None))
+            assert worker.recv() == ("stop", None)
+            coordinator.close()            # returns once "stop" is acked
+            worker.send(("ok", None))      # nobody is left to ack this
+            start = time.perf_counter()
+            worker.close()
+            assert time.perf_counter() - start < 0.25
+        finally:
+            worker.close()
+            transport.close()
+
+    def test_undialed_external_transport_closes_promptly(self):
+        transport = TcpTransport(mode="external")
+        start = time.perf_counter()
+        transport.close()
+        assert time.perf_counter() - start < 1.0
+        assert not transport._acceptor.is_alive()
+
+    def test_close_during_a_stalled_handshake_is_prompt(self):
+        transport = TcpTransport(mode="external")
+        dialer = socket.create_connection(transport.address)
+        try:
+            # The dialer never sends HELLO: the acceptor sits in its read.
+            deadline = time.monotonic() + 10.0
+            while transport._handshake is None:
+                assert time.monotonic() < deadline, "connection not accepted"
+                time.sleep(0.01)
+            start = time.perf_counter()
+            transport.close()
+            assert time.perf_counter() - start < 1.0
+            assert not transport._acceptor.is_alive()
+        finally:
+            dialer.close()
